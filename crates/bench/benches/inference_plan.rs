@@ -8,14 +8,15 @@
 //!   (flat i8 weights, per-row `(multiplier, shift)` requantization,
 //!   zero-alloc scratch) against the per-sample scalar reference
 //!   `QuantizedMlp::forward_one_reference` on the same batch;
-//! * **coarse-to-fine sky maps** — `SkyMap::from_rings_adaptive` against
-//!   the flat `SkyMap::from_rings` sweep on a ≥10k-pixel grid.
+//! * **coarse-to-fine sky maps** — the adaptive `SkyPosterior`
+//!   rasterizer against the flat `SkyPosterior::from_rings_flat` sweep on
+//!   an untempered ≥10k-pixel raster map.
 //!
 //! `cargo bench --bench inference_plan`. The checked-in
 //! `BENCH_pipeline.json` numbers come from the `bench_pipeline` binary,
 //! which exercises the same pairs.
 
-use adapt_localize::{HemisphereGrid, SkyMap};
+use adapt_localize::{SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
@@ -105,15 +106,31 @@ fn skymap_rings(n: usize, seed: u64) -> Vec<ComptonRing> {
 
 fn bench_skymap(c: &mut Criterion) {
     let rings = skymap_rings(600, 42);
-    let grid = HemisphereGrid::new(12_000);
 
     let mut group = c.benchmark_group("skymap_12k_pixels_600_rings");
     group.sample_size(10);
     group.bench_function("flat_sweep", |b| {
-        b.iter(|| black_box(SkyMap::from_rings(&rings, grid.clone(), 3.0)))
+        b.iter(|| {
+            black_box(SkyPosterior::from_rings_flat(
+                SkyPixelization::Raster,
+                &rings,
+                12_000,
+                3.0,
+                1.0,
+            ))
+        })
     });
     group.bench_function("coarse_to_fine", |b| {
-        b.iter(|| black_box(SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0)))
+        b.iter(|| {
+            black_box(SkyPosterior::from_rings_adaptive_tempered_recorded(
+                SkyPixelization::Raster,
+                &rings,
+                12_000,
+                3.0,
+                1.0,
+                adapt_telemetry::noop(),
+            ))
+        })
     });
     group.finish();
 }

@@ -16,7 +16,7 @@
 use crate::training::TrainedModels;
 use adapt_localize::{
     BackgroundModel, BaselineLocalizer, InferenceBackend, InferenceWorkspace, MlLocalizer,
-    MlPipelineConfig, SkyPosterior, StageTimings,
+    MlPipelineConfig, StageTimings,
 };
 use adapt_math::angles::angular_separation;
 use adapt_nn::CompiledMlp;
@@ -159,25 +159,6 @@ impl<'a> Pipeline<'a> {
     /// The background environment this pipeline simulates under.
     pub fn background_config(&self) -> &BackgroundConfig {
         &self.background
-    }
-
-    /// Rasterize a posterior sky map for a ring set on the pixelization
-    /// selected in the ML config (`target_pixels` hemisphere budget,
-    /// matched in density by the HEALPix scheme), reporting wall time to
-    /// the attached recorder.
-    pub fn posterior_map(
-        &self,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-    ) -> SkyPosterior {
-        SkyPosterior::from_rings_adaptive_recorded(
-            self.ml_config.pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            self.recorder,
-        )
     }
 
     /// Attach a telemetry recorder (e.g. an
@@ -350,53 +331,38 @@ impl<'a> Pipeline<'a> {
                 };
                 (res.map(|r| r.direction), rings_in, timings)
             }
-            PipelineMode::Ml => {
-                let bkg: &dyn BackgroundModel = match self.backend {
-                    InferenceBackend::Float => &self.compiled_background,
-                    InferenceBackend::Int8 => self.models.quantized_background.plan(),
+            PipelineMode::Ml | PipelineMode::MlQuantized | PipelineMode::MlNoPolar => {
+                // each ML arm differs only in the networks, thresholds
+                // and polar input it localizes with
+                let uniform_thresholds;
+                let mut config = self.ml_config.clone();
+                let (bkg, thresholds, d_eta): (&dyn BackgroundModel, _, _) = match mode {
+                    PipelineMode::Ml => (
+                        match self.backend {
+                            InferenceBackend::Float => &self.compiled_background,
+                            InferenceBackend::Int8 => self.models.quantized_background.plan(),
+                        },
+                        &self.models.thresholds,
+                        &self.models.d_eta,
+                    ),
+                    PipelineMode::MlQuantized => (
+                        &self.models.quantized_background,
+                        &self.models.thresholds,
+                        &self.models.d_eta,
+                    ),
+                    // MlNoPolar: the 12-input networks at a flat threshold
+                    _ => {
+                        uniform_thresholds = adapt_nn::ThresholdTable::uniform(0.5);
+                        config.use_polar_input = false;
+                        (
+                            &self.compiled_background_no_polar,
+                            &uniform_thresholds,
+                            &self.models.d_eta_no_polar,
+                        )
+                    }
                 };
-                let mut ml = MlLocalizer::new(
-                    bkg,
-                    &self.models.thresholds,
-                    &self.models.d_eta,
-                    self.ml_config.clone(),
-                )
-                .with_recorder(self.recorder);
-                if let Some(monitor) = self.drift {
-                    ml = ml.with_drift_monitor(monitor);
-                }
-                match Self::localize_reusing_workspace(&ml, &staged, &mut rng) {
-                    Some(r) => (Some(r.direction), r.surviving_rings, r.timings),
-                    None => (None, rings_in, StageTimings::default()),
-                }
-            }
-            PipelineMode::MlQuantized => {
-                let mut ml = MlLocalizer::new(
-                    &self.models.quantized_background,
-                    &self.models.thresholds,
-                    &self.models.d_eta,
-                    self.ml_config.clone(),
-                )
-                .with_recorder(self.recorder);
-                if let Some(monitor) = self.drift {
-                    ml = ml.with_drift_monitor(monitor);
-                }
-                match Self::localize_reusing_workspace(&ml, &staged, &mut rng) {
-                    Some(r) => (Some(r.direction), r.surviving_rings, r.timings),
-                    None => (None, rings_in, StageTimings::default()),
-                }
-            }
-            PipelineMode::MlNoPolar => {
-                let thresholds = adapt_nn::ThresholdTable::uniform(0.5);
-                let mut cfg = self.ml_config.clone();
-                cfg.use_polar_input = false;
-                let mut ml = MlLocalizer::new(
-                    &self.compiled_background_no_polar,
-                    &thresholds,
-                    &self.models.d_eta_no_polar,
-                    cfg,
-                )
-                .with_recorder(self.recorder);
+                let mut ml =
+                    MlLocalizer::new(bkg, thresholds, d_eta, config).with_recorder(self.recorder);
                 if let Some(monitor) = self.drift {
                     ml = ml.with_drift_monitor(monitor);
                 }

@@ -115,17 +115,20 @@ impl<T> WorkStealingPool<T> {
     pub fn push(&self, hint: usize, deadline: Instant, task: T) {
         let seq = self.seq.fetch_add(1, AtOrd::Relaxed);
         let shard = hint % self.shards.len();
+        // count the task before it becomes visible: a worker may pop it
+        // as soon as the shard lock drops, and its `finish_take` must
+        // find it counted
+        let mut gate = self.gate.lock().unwrap();
+        gate.pending += 1;
+        let pending = gate.pending;
+        drop(gate);
+        self.max_pending.fetch_max(pending, AtOrd::Relaxed);
         self.shards[shard].lock().unwrap().push(Prioritized {
             deadline,
             seq,
             task,
         });
         self.pushed.fetch_add(1, AtOrd::Relaxed);
-        let mut gate = self.gate.lock().unwrap();
-        gate.pending += 1;
-        let pending = gate.pending;
-        drop(gate);
-        self.max_pending.fetch_max(pending, AtOrd::Relaxed);
         self.available.notify_one();
     }
 

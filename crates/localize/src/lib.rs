@@ -10,7 +10,9 @@
 //!   almost-linear system `cᵢ·s ≈ ηᵢ`;
 //! * [`localizer`] — the baseline (no-ML) pipeline;
 //! * [`ml`] — the Fig.-6 loop weaving the background and dEta networks
-//!   into localization, with per-stage timing capture.
+//!   into localization, with per-stage timing capture;
+//! * [`skymap`] — [`SkyPosterior`], the posterior sky map with credible
+//!   regions, on either [`pixelization`].
 
 pub mod approx;
 pub mod likelihood;
@@ -29,9 +31,8 @@ pub use ml::{
     MlLocalizer, MlPipelineConfig, StageTimings,
 };
 pub use pixelization::{
-    default_temperature, nside_for_target_pixels, SkyPixelization, SkyPosterior,
-    TEMPERATURE_RING_COEFF,
+    default_temperature, nside_for_target_pixels, SkyPixelization, TEMPERATURE_RING_COEFF,
 };
 pub use refine::{refine, RefineConfig, RefineResult};
-pub use skymap::{ring_cone_geoms, HemisphereGrid, SkyMap};
+pub use skymap::SkyPosterior;
 pub use uncertainty::{estimate_uncertainty, DirectionUncertainty};

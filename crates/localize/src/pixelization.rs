@@ -1,23 +1,16 @@
-//! Pixelization-agnostic posterior sky maps.
+//! The equal-area schemes posterior sky maps are rasterized on.
 //!
-//! The pipeline historically rasterized posteriors on the Lambert-belt
-//! [`HemisphereGrid`]; PR 10 adds the equal-area HEALPix alternative
-//! ([`adapt_healpix::HealpixSkyMap`]). [`SkyPixelization`] is the
-//! switch threaded through the localizer config, the onboard runtime,
-//! the ground service and the CLI; [`SkyPosterior`] wraps whichever map
-//! a rasterization produced behind one credible-region interface so
-//! downstream consumers (degradation ladder, alert fan-out,
-//! calibration) never branch on the scheme.
-//!
-//! Both rasterizers accumulate the joint robust cone likelihood with
-//! the same vectorized sweep over the same [`ConeGeom`] set
-//! ([`ring_cone_geoms`]), so switching pixelizations changes *where*
-//! the posterior is sampled, never *what* is sampled.
+//! [`SkyPixelization`] is the switch threaded through the onboard
+//! runtime, the ground service, the calibration campaign and the CLI:
+//! the Lambert-belt hemisphere raster or nested HEALPix. Either way the
+//! result is one [`crate::SkyPosterior`] with one credible-region
+//! interface, so downstream consumers (degradation ladder, alert
+//! fan-out, calibration) never branch on the scheme. This module also
+//! holds the two scheme-level rules every posterior applies: the
+//! ring-count-adaptive likelihood temperature ([`default_temperature`])
+//! and the HEALPix resolution matching a hemisphere pixel budget
+//! ([`nside_for_target_pixels`]).
 
-use crate::skymap::{ring_cone_geoms, HemisphereGrid, SkyMap};
-use adapt_healpix::HealpixSkyMap;
-use adapt_math::vec3::UnitVec3;
-use adapt_recon::ComptonRing;
 use serde::{Deserialize, Serialize};
 
 /// Which equal-area scheme posterior sky maps are rasterized on.
@@ -58,7 +51,7 @@ impl SkyPixelization {
 }
 
 /// Coefficient of the ring-count-adaptive likelihood temperature the
-/// plain [`SkyPosterior`] constructors apply (see
+/// plain [`crate::SkyPosterior`] constructors apply (see
 /// [`default_temperature`]). Fit by the coverage-calibration campaign
 /// (`adapt calibrate`, persisted in `BENCH_calibration.json`); re-fit
 /// whenever the reconstruction or perturbation model changes.
@@ -96,180 +89,9 @@ pub fn nside_for_target_pixels(target_pixels: usize) -> u32 {
     nside
 }
 
-/// A posterior sky map on either pixelization, with the unified
-/// credible-region interface the alert path consumes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum SkyPosterior {
-    Raster(SkyMap),
-    Healpix(HealpixSkyMap),
-}
-
-impl SkyPosterior {
-    /// Rasterize the joint robust likelihood of `rings` coarse-to-fine
-    /// on the chosen pixelization. `target_pixels` is the hemisphere
-    /// pixel budget; HEALPix resolves it via [`nside_for_target_pixels`]
-    /// so both schemes sample the sky at comparable density.
-    pub fn from_rings_adaptive(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-    ) -> Self {
-        Self::from_rings_adaptive_recorded(
-            pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            adapt_telemetry::noop(),
-        )
-    }
-
-    /// [`SkyPosterior::from_rings_adaptive`] with rasterization wall
-    /// time reported under [`adapt_telemetry::Stage::SkymapRasterize`].
-    pub fn from_rings_adaptive_recorded(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-        recorder: &dyn adapt_telemetry::Recorder,
-    ) -> Self {
-        Self::from_rings_adaptive_tempered_recorded(
-            pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            default_temperature(rings.len()),
-            recorder,
-        )
-    }
-
-    /// Full-control variant: the joint log-likelihood is divided by
-    /// `temperature` before exponentiation (posterior ∝ L^(1/T)).
-    /// Tempering widens every credible region without moving the mode —
-    /// the coverage-calibration campaign (`adapt calibrate`) fits the
-    /// ring-count-adaptive [`default_temperature`] the plain
-    /// constructors apply.
-    pub fn from_rings_adaptive_tempered_recorded(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-        temperature: f64,
-        recorder: &dyn adapt_telemetry::Recorder,
-    ) -> Self {
-        match pixelization {
-            SkyPixelization::Raster => {
-                SkyPosterior::Raster(SkyMap::from_rings_adaptive_tempered_recorded(
-                    rings,
-                    HemisphereGrid::new(target_pixels),
-                    floor_z,
-                    temperature,
-                    recorder,
-                ))
-            }
-            SkyPixelization::Healpix => {
-                let geoms = ring_cone_geoms(rings, floor_z);
-                let nside = nside_for_target_pixels(target_pixels);
-                SkyPosterior::Healpix(HealpixSkyMap::from_cones_adaptive_tempered_recorded(
-                    &geoms,
-                    nside,
-                    floor_z,
-                    temperature,
-                    recorder,
-                ))
-            }
-        }
-    }
-
-    /// Which pixelization this posterior is rasterized on.
-    pub fn pixelization(&self) -> SkyPixelization {
-        match self {
-            SkyPosterior::Raster(_) => SkyPixelization::Raster,
-            SkyPosterior::Healpix(_) => SkyPixelization::Healpix,
-        }
-    }
-
-    /// Pixel count.
-    pub fn len(&self) -> usize {
-        match self {
-            SkyPosterior::Raster(m) => m.probabilities().len(),
-            SkyPosterior::Healpix(m) => m.len(),
-        }
-    }
-
-    /// True only for a degenerate empty map.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The maximum-probability direction.
-    pub fn mode(&self) -> UnitVec3 {
-        match self {
-            SkyPosterior::Raster(m) => m.mode(),
-            SkyPosterior::Healpix(m) => m.mode(),
-        }
-    }
-
-    /// Solid angle (sr) of the smallest pixel set holding `credibility`
-    /// of the posterior mass.
-    pub fn credible_region_sr(&self, credibility: f64) -> f64 {
-        match self {
-            SkyPosterior::Raster(m) => m.credible_region_sr(credibility),
-            SkyPosterior::Healpix(m) => m.credible_region_sr(credibility),
-        }
-    }
-
-    /// Credible region as the radius (degrees) of the equal-area disc.
-    pub fn credible_radius_deg(&self, credibility: f64) -> f64 {
-        match self {
-            SkyPosterior::Raster(m) => m.credible_radius_deg(credibility),
-            SkyPosterior::Healpix(m) => m.credible_radius_deg(credibility),
-        }
-    }
-
-    /// Posterior mass within `radius_deg` of a direction.
-    pub fn mass_within(&self, center: UnitVec3, radius_deg: f64) -> f64 {
-        match self {
-            SkyPosterior::Raster(m) => m.mass_within(center, radius_deg),
-            SkyPosterior::Healpix(m) => m.mass_within(center, radius_deg),
-        }
-    }
-
-    /// Searched-mass statistic: `dir` is inside the `c`-credible region
-    /// exactly when this is below `c`.
-    pub fn searched_mass(&self, dir: UnitVec3) -> f64 {
-        match self {
-            SkyPosterior::Raster(m) => m.searched_mass(dir),
-            SkyPosterior::Healpix(m) => m.searched_mass(dir),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_recon::RingFeatures;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn rings_through(source: UnitVec3, n: usize, jitter: f64, seed: u64) -> Vec<ComptonRing> {
-        let mut r = ChaCha8Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let axis = adapt_math::sampling::isotropic_direction(&mut r);
-                let eta = (axis.cos_angle_to(source)
-                    + jitter * adapt_math::sampling::standard_normal(&mut r))
-                .clamp(-0.999, 0.999);
-                ComptonRing {
-                    axis,
-                    eta,
-                    d_eta: jitter.max(0.01),
-                    features: RingFeatures::zeroed(),
-                    truth: None,
-                }
-            })
-            .collect()
-    }
 
     #[test]
     fn pixelization_parses_and_round_trips() {
@@ -298,100 +120,5 @@ mod tests {
             }
         }
         assert_eq!(nside_for_target_pixels(256), 8);
-    }
-
-    #[test]
-    fn both_pixelizations_localize_the_same_source() {
-        let source = UnitVec3::from_spherical(0.6, 1.0);
-        let rings = rings_through(source, 40, 0.02, 19);
-        for p in SkyPixelization::ALL {
-            let post = SkyPosterior::from_rings_adaptive(p, &rings, 4096, 3.0);
-            assert_eq!(post.pixelization(), p);
-            assert!(!post.is_empty());
-            let err = post.mode().angle_to(source).to_degrees();
-            assert!(err < 3.0, "{}: mode {err:.2} deg off", p.name());
-            assert!(post.searched_mass(source) < 0.99);
-            assert!(post.mass_within(source, 20.0) > 0.9);
-        }
-    }
-
-    /// Satellite check: away from the distorted polar belts and the
-    /// horizon, the two pixelizations must report the same credible
-    /// regions to within discretization tolerance.
-    #[test]
-    fn raster_and_healpix_credible_regions_agree_at_mid_latitudes() {
-        for (seed, polar) in [(101u64, 0.7f64), (103, 0.9), (107, 1.1)] {
-            let source = UnitVec3::from_spherical(polar, 0.8 * seed as f64);
-            // Wide-ish posterior so the credible regions span many
-            // pixels and quantization noise stays subdominant.
-            let rings = rings_through(source, 18, 0.06, seed);
-            let raster =
-                SkyPosterior::from_rings_adaptive(SkyPixelization::Raster, &rings, 8192, 3.0);
-            let healpix =
-                SkyPosterior::from_rings_adaptive(SkyPixelization::Healpix, &rings, 8192, 3.0);
-            let quantum = (2.0 * std::f64::consts::PI / 8192.0)
-                .max(4.0 * std::f64::consts::PI / healpix.len() as f64);
-            for c in [0.68, 0.90] {
-                let a = raster.credible_region_sr(c);
-                let b = healpix.credible_region_sr(c);
-                let rel = (a - b).abs() / a.max(b);
-                assert!(
-                    rel < 0.25 || (a - b).abs() < 4.0 * quantum,
-                    "seed {seed} credibility {c}: raster {a:.5} sr vs healpix {b:.5} sr ({rel:.2})"
-                );
-            }
-            // Modes agree to a pixel scale.
-            assert!(raster.mode().angle_to(healpix.mode()).to_degrees() < 3.0);
-        }
-    }
-
-    #[test]
-    fn tempering_widens_credible_regions_without_moving_the_mode() {
-        let source = UnitVec3::from_spherical(0.8, 2.5);
-        let rings = rings_through(source, 30, 0.03, 211);
-        for p in SkyPixelization::ALL {
-            let tight = SkyPosterior::from_rings_adaptive_tempered_recorded(
-                p,
-                &rings,
-                4096,
-                3.0,
-                1.0,
-                adapt_telemetry::noop(),
-            );
-            let wide = SkyPosterior::from_rings_adaptive_tempered_recorded(
-                p,
-                &rings,
-                4096,
-                3.0,
-                9.0,
-                adapt_telemetry::noop(),
-            );
-            assert!(
-                wide.credible_region_sr(0.9) > 2.0 * tight.credible_region_sr(0.9),
-                "{}: temperature 9 did not widen the 90% region",
-                p.name()
-            );
-            // tempering preserves the likelihood ranking, so the mode
-            // stays put (up to pixels tied in probability)
-            assert!(
-                wide.mode().angle_to(tight.mode()).to_degrees() < 1.0,
-                "{}: tempering moved the mode",
-                p.name()
-            );
-        }
-    }
-
-    #[test]
-    fn searched_mass_flags_below_horizon_for_raster_only() {
-        let source = UnitVec3::from_spherical(0.5, 0.0);
-        let rings = rings_through(source, 25, 0.03, 307);
-        let below = UnitVec3::from_spherical(2.6, 1.0);
-        let raster = SkyPosterior::from_rings_adaptive(SkyPixelization::Raster, &rings, 2048, 3.0);
-        assert_eq!(raster.searched_mass(below), 1.0);
-        let healpix =
-            SkyPosterior::from_rings_adaptive(SkyPixelization::Healpix, &rings, 2048, 3.0);
-        // HEALPix represents the whole sphere; a wrong hemisphere point
-        // is merely deep in the tail, not undefined.
-        assert!(healpix.searched_mass(below) > 0.99);
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests of the localization stage.
 
 use adapt_localize::{
-    angular_z, approximate, estimate_uncertainty, refine, ApproxConfig, HemisphereGrid,
-    RefineConfig, SkyMap,
+    angular_z, approximate, estimate_uncertainty, refine, ApproxConfig, RefineConfig,
+    SkyPixelization, SkyPosterior,
 };
 use adapt_math::angles::angular_separation;
 use adapt_math::sampling::isotropic_direction;
@@ -29,6 +29,22 @@ fn rings_through(source: UnitVec3, n: usize, jitter: f64, seed: u64) -> Vec<Comp
             }
         })
         .collect()
+}
+
+/// Untempered raster maps: the flat reference sweep or coarse-to-fine.
+fn raster_flat(rings: &[ComptonRing], target_pixels: usize) -> SkyPosterior {
+    SkyPosterior::from_rings_flat(SkyPixelization::Raster, rings, target_pixels, 3.0, 1.0)
+}
+
+fn raster_adaptive(rings: &[ComptonRing], target_pixels: usize) -> SkyPosterior {
+    SkyPosterior::from_rings_adaptive_tempered_recorded(
+        SkyPixelization::Raster,
+        rings,
+        target_pixels,
+        3.0,
+        1.0,
+        adapt_telemetry::noop(),
+    )
 }
 
 proptest! {
@@ -103,7 +119,7 @@ proptest! {
     ) {
         let source = UnitVec3::from_spherical(polar, -1.1);
         let rings = rings_through(source, 60, 0.02, seed);
-        let map = SkyMap::from_rings(&rings, HemisphereGrid::new(1500), 3.0);
+        let map = raster_flat(&rings, 1500);
         let res = refine(&rings, source, &RefineConfig::default()).unwrap();
         // the rasterized posterior peak and the least-squares solution
         // describe the same burst: within a few pixel widths
@@ -129,10 +145,9 @@ proptest! {
         // side of the probability cut).
         let source = UnitVec3::from_spherical(polar, az);
         let rings = rings_through(source, n, 0.02, seed);
-        let grid = HemisphereGrid::new(10_000);
-        let px_sr = grid.pixel_solid_angle();
-        let brute = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adaptive = SkyMap::from_rings_adaptive(&rings, grid, 3.0);
+        let brute = raster_flat(&rings, 10_000);
+        let adaptive = raster_adaptive(&rings, 10_000);
+        let px_sr = brute.pixel_solid_angle();
         for credibility in [0.5, 0.9, 0.99] {
             let a = brute.credible_region_sr(credibility);
             let b = adaptive.credible_region_sr(credibility);
@@ -160,13 +175,12 @@ proptest! {
         // portable kernel bit for bit — not just to tolerance
         let source = UnitVec3::from_spherical(polar, az);
         let rings = rings_through(source, n, 0.02, seed);
-        let grid = HemisphereGrid::new(6_000);
         adapt_nn::set_force_portable(false);
-        let flat_v = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adap_v = SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0);
+        let flat_v = raster_flat(&rings, 6_000);
+        let adap_v = raster_adaptive(&rings, 6_000);
         adapt_nn::set_force_portable(true);
-        let flat_p = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adap_p = SkyMap::from_rings_adaptive(&rings, grid, 3.0);
+        let flat_p = raster_flat(&rings, 6_000);
+        let adap_p = raster_adaptive(&rings, 6_000);
         adapt_nn::set_force_portable(
             std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
         );
