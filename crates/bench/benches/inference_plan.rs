@@ -1,4 +1,4 @@
-//! Criterion benchmarks for the two localization hot-loop optimizations:
+//! Criterion benchmarks for the localization hot loops:
 //!
 //! * **compiled inference plans** — `CompiledMlp::forward_batch` (BN
 //!   folded, flat weight buffer, reusable scratch, register-tiled kernel)
@@ -8,13 +8,12 @@
 //!   (flat i8 weights, per-row `(multiplier, shift)` requantization,
 //!   zero-alloc scratch) against the per-sample scalar reference
 //!   `QuantizedMlp::forward_one_reference` on the same batch;
-//! * **coarse-to-fine sky maps** — the adaptive `SkyPosterior`
-//!   rasterizer against the flat `SkyPosterior::from_rings_flat` sweep on
-//!   an untempered ≥10k-pixel raster map.
+//! * **sky maps** — the `SkyPosterior` flat sweep on an untempered
+//!   12k-pixel raster map.
 //!
 //! `cargo bench --bench inference_plan`. The checked-in
 //! `BENCH_pipeline.json` numbers come from the `bench_pipeline` binary,
-//! which exercises the same pairs.
+//! which exercises the same inference pairs.
 
 use adapt_localize::{SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
@@ -110,17 +109,6 @@ fn bench_skymap(c: &mut Criterion) {
     let mut group = c.benchmark_group("skymap_12k_pixels_600_rings");
     group.sample_size(10);
     group.bench_function("flat_sweep", |b| {
-        b.iter(|| {
-            black_box(SkyPosterior::from_rings_flat(
-                SkyPixelization::Raster,
-                &rings,
-                12_000,
-                3.0,
-                1.0,
-            ))
-        })
-    });
-    group.bench_function("coarse_to_fine", |b| {
         b.iter(|| {
             black_box(SkyPosterior::from_rings_adaptive_tempered_recorded(
                 SkyPixelization::Raster,

@@ -124,7 +124,6 @@ fn load(path: &str) -> Value {
 const GATED_SECTIONS: &[&str] = &[
     "background_net_inference_256_rings",
     "int8_background_net_inference_256_rings",
-    "skymap_12k_pixels_600_rings",
 ];
 
 /// Wall-clock metrics gated on stream/ground reports: the key and
@@ -143,7 +142,7 @@ const CALIBRATION_WALL_METRICS: &[(&str, bool)] = &[
     ("mean_credible_radius_90_deg", false),
 ];
 
-/// Collect every gated pipeline speedup: the three section-level ratios
+/// Collect every gated pipeline speedup: the two section-level ratios
 /// plus one per kernel row (matched by kernel name).
 fn gated_speedups(report: &Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();

@@ -9,10 +9,6 @@
 //!   `CompiledQuantMlp::forward_batch` (256 rings), plus the max logit
 //!   divergence against the float plan and the background-accuracy
 //!   delta on a fresh burst;
-//! * sky-map rasterization — the flat `SkyPosterior::from_rings_flat`
-//!   sweep vs the coarse-to-fine `SkyPosterior` rasterizer (untempered
-//!   12k-pixel raster maps, 600 rings), with a credible-region parity
-//!   check;
 //! * end-to-end `Pipeline::run_trial` latency in ML mode, which now
 //!   reuses one `InferenceWorkspace` per thread across trials.
 //!
@@ -52,15 +48,6 @@ struct QuantInferenceReport {
     background_accuracy_delta: f64,
 }
 
-#[derive(Serialize)]
-struct SkymapReport {
-    flat_sweep_ms: f64,
-    coarse_to_fine_ms: f64,
-    speedup: f64,
-    credible_region_90_sr_flat: f64,
-    credible_region_90_sr_adaptive: f64,
-}
-
 /// One vectorized hot kernel measured against its portable twin on the
 /// same inputs (forced via the runtime dispatch override, not a rebuild).
 #[derive(Serialize)]
@@ -79,7 +66,7 @@ struct KernelReport {
 /// Report schema version. Bump when the report's shape changes; the
 /// writer refuses to clobber a file written by a *newer* schema so a
 /// stale binary cannot silently downgrade checked-in results.
-const BENCH_SCHEMA: u64 = 3;
+const BENCH_SCHEMA: u64 = 4;
 
 #[derive(Serialize)]
 struct BenchReport {
@@ -89,7 +76,6 @@ struct BenchReport {
     env: EnvReport,
     background_net_inference_256_rings: InferenceReport,
     int8_background_net_inference_256_rings: QuantInferenceReport,
-    skymap_12k_pixels_600_rings: SkymapReport,
     /// Per-kernel SIMD-vs-portable micro-benchmarks (the regression
     /// gate's inputs — see `bench_gate`).
     kernels: Vec<KernelReport>,
@@ -220,10 +206,11 @@ fn main() {
     let acc_float = correct_float as f64 / bench_rings.len() as f64;
     let acc_int8 = correct_int8 as f64 / bench_rings.len() as f64;
 
-    // -- sky-map rasterization: flat sweep vs coarse-to-fine --
+    // -- per-kernel dispatch micro-benches: portable vs vectorized on
+    //    identical inputs, toggled at runtime (no rebuild); the sweep
+    //    row is an untempered 12k-pixel raster map over 600 rings --
     let rings = synthetic_rings(600, 42);
-    let flat = || SkyPosterior::from_rings_flat(SkyPixelization::Raster, &rings, 12_000, 3.0, 1.0);
-    let adaptive = || {
+    let flat = || {
         SkyPosterior::from_rings_adaptive_tempered_recorded(
             SkyPixelization::Raster,
             &rings,
@@ -233,15 +220,6 @@ fn main() {
             adapt_telemetry::noop(),
         )
     };
-    let flat_s = median_secs(reps.min(20), flat);
-    let adaptive_s = median_secs(reps.min(20), adaptive);
-    let flat_map = flat();
-    let adaptive_map = adaptive();
-    let cr90_flat = flat_map.credible_region_sr(0.9);
-    let cr90_adaptive = adaptive_map.credible_region_sr(0.9);
-
-    // -- per-kernel dispatch micro-benches: portable vs vectorized on
-    //    identical inputs, toggled at runtime (no rebuild) --
     adapt_nn::set_force_portable(true);
     let int8_portable_s = median_secs(reps, || qplan.forward_batch(&feat, &mut qscratch)[0]);
     let int8_portable = qplan.forward_batch(&feat, &mut qscratch).to_vec();
@@ -347,13 +325,6 @@ fn main() {
             background_accuracy_int8: acc_int8,
             background_accuracy_delta: acc_int8 - acc_float,
         },
-        skymap_12k_pixels_600_rings: SkymapReport {
-            flat_sweep_ms: flat_s * 1e3,
-            coarse_to_fine_ms: adaptive_s * 1e3,
-            speedup: flat_s / adaptive_s,
-            credible_region_90_sr_flat: cr90_flat,
-            credible_region_90_sr_adaptive: cr90_adaptive,
-        },
         kernels,
         pipeline_trial_ml_ms: trial_s * 1e3,
         stage_timing,
@@ -384,14 +355,6 @@ fn main() {
         max_int8_float_diff,
         acc_float,
         acc_int8
-    );
-    println!(
-        "skymap:    flat {:.2} ms vs coarse-to-fine {:.2} ms ({:.2}x, CR90 {:.4} vs {:.4} sr)",
-        flat_s * 1e3,
-        adaptive_s * 1e3,
-        flat_s / adaptive_s,
-        cr90_flat,
-        cr90_adaptive
     );
     println!("pipeline:  ML trial median {:.1} ms", trial_s * 1e3);
     println!(

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use adapt_core::prelude::*;
 use adapt_core::trigger::{calibrate_background_rate, scan, TriggerConfig};
-use adapt_localize::{SkyPixelization, SkyPosterior};
+use adapt_localize::{default_temperature, SkyPixelization, SkyPosterior};
 use adapt_recon::Reconstructor;
 use adapt_sim::{BurstSimulation, ParticleOrigin};
 use std::path::Path;
@@ -1281,7 +1281,6 @@ pub fn skymap(args: &Args) -> Result<(), String> {
         "pixelization",
     ])?;
     args.assert_no_positionals()?;
-    let models = load_models(&args.get_or("models", "models.json"))?;
     let fluence: f64 = args.get_parse_or("fluence", 1.0)?;
     let angle: f64 = args.get_parse_or("angle", 0.0)?;
     let seed: u64 = args.get_parse_or("seed", 42)?;
@@ -1290,6 +1289,10 @@ pub fn skymap(args: &Args) -> Result<(), String> {
     if !(0.0..=1.0).contains(&credibility) {
         return Err("credibility must be in [0, 1]".into());
     }
+    if pixels < 4 {
+        return Err(format!("--pixels must be >= 4, got {pixels}"));
+    }
+    let models = load_models(&args.get_or("models", "models.json"))?;
     let grb = GrbConfig::new(fluence, angle);
     let pipeline = Pipeline::new(&models);
     let (rings, _) = pipeline.simulate_rings(&grb, PerturbationConfig::default(), seed);
@@ -1297,7 +1300,14 @@ pub fn skymap(args: &Args) -> Result<(), String> {
         return Err("no rings reconstructed from this burst".into());
     }
     let pixelization = parse_pixelization(args, SkyPixelization::Healpix)?;
-    let map = SkyPosterior::from_rings_adaptive(pixelization, &rings, pixels, 3.0);
+    let map = SkyPosterior::from_rings_adaptive_tempered_recorded(
+        pixelization,
+        &rings,
+        pixels,
+        3.0,
+        default_temperature(rings.len()),
+        adapt_telemetry::noop(),
+    );
     let mode_dir = map.mode();
     println!(
         "{} sky map over {} pixels from {} rings",

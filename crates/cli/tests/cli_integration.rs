@@ -130,6 +130,31 @@ fn unknown_subcommand_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// A pixel budget too small for any map is a usage error, reported
+/// before a map is built — not a panic inside the rasterizer.
+#[test]
+fn skymap_rejects_a_pixel_budget_below_four() {
+    for pixelization in ["raster", "healpix"] {
+        let out = adapt(&[
+            "skymap",
+            "--models",
+            models_path(),
+            "--pixelization",
+            pixelization,
+            "--pixels",
+            "2",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{pixelization}: exited {:?}",
+            out.status
+        );
+        assert!(!stderr.contains("panicked"), "{pixelization}: {stderr}");
+        assert!(stderr.contains("--pixels"), "{pixelization}: {stderr}");
+    }
+}
+
 /// Satellite: a panicking runtime must exit nonzero, leave a greppable
 /// `health: crashed` verdict on stderr, and flush the flight recorder so
 /// the capture up to the crash still validates.

@@ -12,12 +12,8 @@
 //! * [`pix2vec`] / [`vec2pix`] — pixel index ↔ unit-vector center;
 //! * [`neighbors`] — the 8 (7 at the polar-face corners) adjacent
 //!   pixels, via the face-adjacency tables;
-//! * [`children`] / [`parent`] — the quadtree walk the coarse-to-fine
-//!   rasterizer expands along (children of nested pixel `p` are
-//!   `4p..4p+4`, so a refined coarse cell is one contiguous index
-//!   range);
-//! * [`pixel_bound_radius`] — the enclosing-cone radius the
-//!   coarse-to-fine likelihood bound propagates.
+//! * [`npix`], [`pixel_solid_angle`], [`max_pixrad`] — pixel count,
+//!   the equal pixel area, and the largest center-to-corner distance.
 //!
 //! The index math follows the reference algorithms of the HEALPix
 //! paper; the z/φ → face/(x, y) projection constants (`JRLL`, `JPLL`,
@@ -26,7 +22,4 @@
 
 pub mod nested;
 
-pub use nested::{
-    children, max_pixrad, neighbors, npix, parent, pix2vec, pixel_bound_radius, pixel_solid_angle,
-    vec2pix,
-};
+pub use nested::{max_pixrad, neighbors, npix, pix2vec, pixel_solid_angle, vec2pix};

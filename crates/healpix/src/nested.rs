@@ -279,19 +279,6 @@ pub fn neighbors(nside: u32, pix: u64) -> [Option<u64>; 8] {
     out
 }
 
-/// The four children of `pix` at resolution `2·nside`: the contiguous
-/// range `4·pix .. 4·pix + 4` in nested indexing.
-#[inline]
-pub fn children(pix: u64) -> [u64; 4] {
-    [4 * pix, 4 * pix + 1, 4 * pix + 2, 4 * pix + 3]
-}
-
-/// The parent of `pix` at resolution `nside / 2`.
-#[inline]
-pub fn parent(pix: u64) -> u64 {
-    pix >> 2
-}
-
 /// Maximum angular distance (radians) from any pixel center to the
 /// farthest corner of that pixel, over all pixels at `nside`. The
 /// extremes sit at the polar-cap/equatorial-belt transition.
@@ -304,16 +291,6 @@ pub fn max_pixrad(nside: u32) -> f64 {
     // Center of a pixel in the first cap ring below the corner.
     let vb = UnitVec3::from_spherical((1.0 - t / 3.0f64).clamp(-1.0, 1.0).acos(), 0.0);
     va.angle_to(vb)
-}
-
-/// Conservative enclosing-cone radius used by the coarse-to-fine
-/// rasterizer: any point inside a pixel is within this angle of the
-/// pixel center. [`max_pixrad`] with a small safety margin so the
-/// refinement bound is robust to edge-curvature and rounding effects
-/// (validated by sampling in the test suite).
-#[inline]
-pub fn pixel_bound_radius(nside: u32) -> f64 {
-    max_pixrad(nside) * 1.02
 }
 
 #[cfg(test)]
@@ -381,7 +358,8 @@ mod tests {
     fn random_directions_round_trip_within_pixel_radius() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x4EA1);
         for nside in [1u32, 4, 32, 256, 1024] {
-            let bound = pixel_bound_radius(nside);
+            // 2 % margin for edge curvature and rounding
+            let bound = max_pixrad(nside) * 1.02;
             for _ in 0..2000 {
                 let dir = random_unit(&mut rng);
                 let pix = vec2pix(nside, dir);
@@ -394,26 +372,6 @@ mod tests {
                     bound
                 );
             }
-        }
-    }
-
-    #[test]
-    fn children_partition_the_parent() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xC41D);
-        for nside in [1u32, 8, 64] {
-            for _ in 0..500 {
-                let pix = rng.gen_range(0..npix(nside));
-                for child in children(pix) {
-                    assert_eq!(parent(child), pix);
-                    // Each child's center lies inside the parent pixel.
-                    let v = pix2vec(nside * 2, child);
-                    assert_eq!(vec2pix(nside, v), pix);
-                }
-            }
-            // Child solid angles sum exactly to the parent's.
-            let parent_sr = pixel_solid_angle(nside);
-            let child_sr = pixel_solid_angle(nside * 2);
-            assert!((4.0 * child_sr - parent_sr).abs() < 1e-15);
         }
     }
 
@@ -473,30 +431,6 @@ mod tests {
                 }
             }
             assert_eq!(seven, 24, "nside={nside}");
-        }
-    }
-
-    #[test]
-    fn pixel_bound_radius_covers_sampled_points() {
-        // Dense stress test of the refinement contract: no point may
-        // sit farther from its pixel center than pixel_bound_radius.
-        let mut rng = ChaCha8Rng::seed_from_u64(0xB07D);
-        for nside in [2u32, 8, 64, 512] {
-            let bound = pixel_bound_radius(nside);
-            let raw = max_pixrad(nside);
-            assert!(bound > raw);
-            let mut worst = 0.0f64;
-            for _ in 0..20_000 {
-                let dir = random_unit(&mut rng);
-                let d = pix2vec(nside, vec2pix(nside, dir)).angle_to(dir);
-                worst = worst.max(d);
-            }
-            assert!(
-                worst <= bound,
-                "nside={nside}: sampled distance {worst} exceeds bound {bound}"
-            );
-            // The bound is tight-ish: sampling should get close to it.
-            assert!(worst >= 0.5 * raw, "bound looks wildly loose");
         }
     }
 

@@ -31,12 +31,8 @@ fn rings_through(source: UnitVec3, n: usize, jitter: f64, seed: u64) -> Vec<Comp
         .collect()
 }
 
-/// Untempered raster maps: the flat reference sweep or coarse-to-fine.
-fn raster_flat(rings: &[ComptonRing], target_pixels: usize) -> SkyPosterior {
-    SkyPosterior::from_rings_flat(SkyPixelization::Raster, rings, target_pixels, 3.0, 1.0)
-}
-
-fn raster_adaptive(rings: &[ComptonRing], target_pixels: usize) -> SkyPosterior {
+/// Untempered raster map.
+fn raster(rings: &[ComptonRing], target_pixels: usize) -> SkyPosterior {
     SkyPosterior::from_rings_adaptive_tempered_recorded(
         SkyPixelization::Raster,
         rings,
@@ -119,7 +115,7 @@ proptest! {
     ) {
         let source = UnitVec3::from_spherical(polar, -1.1);
         let rings = rings_through(source, 60, 0.02, seed);
-        let map = raster_flat(&rings, 1500);
+        let map = raster(&rings, 1500);
         let res = refine(&rings, source, &RefineConfig::default()).unwrap();
         // the rasterized posterior peak and the least-squares solution
         // describe the same burst: within a few pixel widths
@@ -133,37 +129,6 @@ proptest! {
     }
 
     #[test]
-    fn adaptive_skymap_matches_brute_force(
-        polar in 0.1f64..1.2,
-        az in -3.0f64..3.0,
-        n in 30usize..90,
-        seed in 0u64..100,
-    ) {
-        // The coarse-to-fine rasterization must reproduce the flat
-        // sweep's credible regions: any discrepancy is bounded by one
-        // pixel's solid angle (a boundary pixel landing on the other
-        // side of the probability cut).
-        let source = UnitVec3::from_spherical(polar, az);
-        let rings = rings_through(source, n, 0.02, seed);
-        let brute = raster_flat(&rings, 10_000);
-        let adaptive = raster_adaptive(&rings, 10_000);
-        let px_sr = brute.pixel_solid_angle();
-        for credibility in [0.5, 0.9, 0.99] {
-            let a = brute.credible_region_sr(credibility);
-            let b = adaptive.credible_region_sr(credibility);
-            prop_assert!(
-                (a - b).abs() <= px_sr + 1e-12,
-                "CR{credibility}: brute {a} sr vs adaptive {b} sr (pixel {px_sr} sr)"
-            );
-        }
-        prop_assert!(
-            angular_separation(brute.mode(), adaptive.mode()) < 1.0,
-            "modes diverge: {} deg",
-            angular_separation(brute.mode(), adaptive.mode())
-        );
-    }
-
-    #[test]
     fn vectorized_sweep_bit_identical_to_portable_sweep(
         polar in 0.1f64..1.2,
         az in -3.0f64..3.0,
@@ -171,24 +136,19 @@ proptest! {
         seed in 0u64..100,
     ) {
         // the SIMD cone-distance sweep preserves per-pixel ring-order
-        // summation, so flat AND adaptive maps must match the forced-
-        // portable kernel bit for bit — not just to tolerance
+        // summation, so the map must match the forced-portable kernel
+        // bit for bit — not just to tolerance
         let source = UnitVec3::from_spherical(polar, az);
         let rings = rings_through(source, n, 0.02, seed);
         adapt_nn::set_force_portable(false);
-        let flat_v = raster_flat(&rings, 6_000);
-        let adap_v = raster_adaptive(&rings, 6_000);
+        let vector = raster(&rings, 6_000);
         adapt_nn::set_force_portable(true);
-        let flat_p = raster_flat(&rings, 6_000);
-        let adap_p = raster_adaptive(&rings, 6_000);
+        let portable = raster(&rings, 6_000);
         adapt_nn::set_force_portable(
             std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
         );
-        for (a, b) in flat_v.probabilities().iter().zip(flat_p.probabilities()) {
+        for (a, b) in vector.probabilities().iter().zip(portable.probabilities()) {
             prop_assert_eq!(a, b, "flat sweep diverged");
-        }
-        for (a, b) in adap_v.probabilities().iter().zip(adap_p.probabilities()) {
-            prop_assert_eq!(a, b, "adaptive sweep diverged");
         }
     }
 

@@ -702,8 +702,8 @@ fn dot_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
 // and HEALPix). The rasterizer precomputes one [`ConeGeom`] per Compton
 // ring and accumulates the robust cone log-likelihood over a plane of
 // candidate pixel centers; keeping the sweep here guarantees both
-// pixelizations (and the coarse-to-fine refinement pass) score pixels
-// with the *same* arithmetic, bit for bit, on every dispatch path.
+// pixelizations score pixels with the *same* arithmetic, bit for bit,
+// on every dispatch path.
 
 use adapt_math::vec3::UnitVec3;
 use rayon::prelude::*;
@@ -722,8 +722,8 @@ pub struct ConeGeom {
     pub cone_theta: f64,
     /// Angular sigma of the ring (radians).
     pub sigma: f64,
-    /// `floor_z · σ`: if `|axis·c − η| ≥ skip_gap (+ ρ)`, the ring
-    /// floors at `c` (over the whole cell of radius ρ).
+    /// `floor_z · σ`: if `|axis·c − η| ≥ skip_gap`, the ring floors at
+    /// `c`.
     pub skip_gap: f64,
 }
 
@@ -744,23 +744,6 @@ impl ConeGeom {
         }
         let zz = (dot.acos() - self.cone_theta) / self.sigma;
         (-0.5 * zz * zz).max(floor_const)
-    }
-
-    /// Exact contribution at a cell center plus an upper bound valid
-    /// over the whole cell of angular radius `rho` (one shared `acos`).
-    #[inline]
-    pub fn cell_logl_and_bound(&self, c: UnitVec3, rho: f64, floor_const: f64) -> (f64, f64) {
-        let dot = self.axis.cos_angle_to(c);
-        if (dot - self.eta).abs() >= self.skip_gap + rho {
-            return (floor_const, floor_const);
-        }
-        let d_theta = (dot.clamp(-1.0, 1.0).acos() - self.cone_theta).abs();
-        let z = d_theta / self.sigma;
-        let z_min = (d_theta - rho).max(0.0) / self.sigma;
-        (
-            (-0.5 * z * z).max(floor_const),
-            (-0.5 * z_min * z_min).max(floor_const),
-        )
     }
 }
 

@@ -24,7 +24,7 @@
 //!
 //! 1. `full-ml` — float compiled background net, 5 loop iterations;
 //! 2. `reduced-ml` — INT8 plan, fewer loop iterations;
-//! 3. `coarse-skymap` — adaptive sky map on a small grid, mode + 90 %
+//! 3. `coarse-skymap` — flat-swept sky map on a small grid, mode + 90 %
 //!    credible radius;
 //! 4. `classical` — baseline approximate + refine, no ML.
 //!
@@ -38,8 +38,8 @@ use crate::queue::{BoundedQueue, DropPolicy, QueueStats};
 use crate::trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch};
 use adapt_core::training::TrainedModels;
 use adapt_localize::{
-    estimate_uncertainty, BaselineLocalizer, InferenceWorkspace, LocalizerConfig, MlLocalizer,
-    MlPipelineConfig, SkyPixelization, SkyPosterior,
+    default_temperature, estimate_uncertainty, BaselineLocalizer, InferenceWorkspace,
+    LocalizerConfig, MlLocalizer, MlPipelineConfig, SkyPixelization, SkyPosterior,
 };
 use adapt_math::angles::polar_angle_deg;
 use adapt_math::{rad_to_deg, vec3::UnitVec3};
@@ -65,7 +65,7 @@ pub enum DegradationLevel {
     FullMl,
     /// INT8 plan with fewer loop iterations.
     ReducedMl,
-    /// Coarse adaptive sky map (mode + credible radius).
+    /// Sky map on a small grid (mode + credible radius).
     CoarseSkymap,
     /// Classical approximate + refine, no ML.
     Classical,
@@ -555,11 +555,12 @@ impl<'a> EpochLocalizer<'a> {
                     .localize_with(&rings, rng, ws)
                     .map(|r| (r.direction, r.surviving_rings, None)),
                 DegradationLevel::CoarseSkymap => {
-                    let map = SkyPosterior::from_rings_adaptive_recorded(
+                    let map = SkyPosterior::from_rings_adaptive_tempered_recorded(
                         self.pixelization,
                         &rings,
                         self.coarse_pixels,
                         3.0,
+                        default_temperature(rings.len()),
                         recorder,
                     );
                     Some((map.mode(), rings.len(), Some(map.credible_radius_deg(0.9))))
